@@ -23,6 +23,8 @@ package core
 import (
 	"fmt"
 	"strconv"
+	"sync"
+	"sync/atomic"
 
 	"kpa/internal/measure"
 	"kpa/internal/rat"
@@ -302,22 +304,36 @@ func Partition(s SampleAssignment, i system.AgentID, cPrimeSample system.PointSe
 // ProbAssignment is the probability assignment P induced by a sample-space
 // assignment S and the transition probabilities of the system's trees: it
 // lazily constructs and caches the probability space P_ic for each
-// (agent, point).
+// (agent, point), and each agent's dense space table (Table) for the dense
+// evaluator.
+//
+// A ProbAssignment is safe for concurrent use, provided its
+// SampleAssignment is (the assignments of this package are): everything it
+// caches depends only on the immutable system and assignment, so one
+// instance is meant to be shared — the service keeps one per evaluator
+// pool, and every evaluator of the pool reads the same tables.
 type ProbAssignment struct {
-	sys      *system.System
-	sample   SampleAssignment
-	cache    map[spaceKey]*measure.Space
-	keyCache map[keyedSpaceKey]*measure.Space
+	sys    *system.System
+	sample SampleAssignment
+
+	mu     sync.Mutex
+	spaces map[spaceKey]*measure.Space // guarded by mu
+	// building[i] is closed when the build of agent i's table that is in
+	// flight ends; nil when none is.
+	building []chan struct{} // guarded by mu
+
+	// tables[i] is agent i's dense space table once built; a nil slot is
+	// unbuilt.
+	tables []atomic.Pointer[SpaceTable]
 }
 
+// spaceKey identifies a cached space: by the sample key for a keyed pair,
+// so all points of an information cell share one space, and by the point
+// itself (key empty) otherwise.
 type spaceKey struct {
-	i system.AgentID
-	c system.Point
-}
-
-type keyedSpaceKey struct {
 	i   system.AgentID
 	key string
+	c   system.Point
 }
 
 // NewProbAssignment binds a sample-space assignment to its system.
@@ -325,8 +341,9 @@ func NewProbAssignment(sys *system.System, s SampleAssignment) *ProbAssignment {
 	return &ProbAssignment{
 		sys:      sys,
 		sample:   s,
-		cache:    make(map[spaceKey]*measure.Space),
-		keyCache: make(map[keyedSpaceKey]*measure.Space),
+		spaces:   make(map[spaceKey]*measure.Space),
+		building: make([]chan struct{}, sys.NumAgents()),
+		tables:   make([]atomic.Pointer[SpaceTable], sys.NumAgents()),
 	}
 }
 
@@ -339,34 +356,41 @@ func (p *ProbAssignment) SampleAssignment() SampleAssignment { return p.sample }
 // Name returns the inducing assignment's name.
 func (p *ProbAssignment) Name() string { return p.sample.Name() }
 
+// sampleKey returns the sample key of (i, c), if the assignment has one.
+func (p *ProbAssignment) sampleKey(i system.AgentID, c system.Point) (string, bool) {
+	if keyed, ok := p.sample.(KeyedAssignment); ok {
+		return keyed.SampleKey(i, c)
+	}
+	return "", false
+}
+
 // Space returns the induced probability space P_ic. Spaces are cached; for
 // KeyedAssignments all points of an information cell share one space object,
 // so callers may rely on pointer identity of spaces for their own
 // memoization.
 func (p *ProbAssignment) Space(i system.AgentID, c system.Point) (*measure.Space, error) {
-	if keyed, ok := p.sample.(KeyedAssignment); ok {
-		if k, ok := keyed.SampleKey(i, c); ok {
-			kk := keyedSpaceKey{i: i, key: k}
-			if sp, ok := p.keyCache[kk]; ok {
-				return sp, nil
-			}
-			sp, err := measure.NewSpace(p.sample.Sample(i, c))
-			if err != nil {
-				return nil, fmt.Errorf("assignment %s at (%d,%v): %w", p.Name(), i, c, err)
-			}
-			p.keyCache[kk] = sp
-			return sp, nil
-		}
-	}
 	key := spaceKey{i: i, c: c}
-	if sp, ok := p.cache[key]; ok {
+	if k, ok := p.sampleKey(i, c); ok {
+		key = spaceKey{i: i, key: k}
+	}
+	p.mu.Lock()
+	sp, ok := p.spaces[key]
+	p.mu.Unlock()
+	if ok {
 		return sp, nil
 	}
+	// Built outside the lock; if another goroutine stored the same space
+	// meanwhile, its copy wins, so pointer identity still holds.
 	sp, err := measure.NewSpace(p.sample.Sample(i, c))
 	if err != nil {
 		return nil, fmt.Errorf("assignment %s at (%d,%v): %w", p.Name(), i, c, err)
 	}
-	p.cache[key] = sp
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if prev, ok := p.spaces[key]; ok {
+		return prev, nil
+	}
+	p.spaces[key] = sp
 	return sp, nil
 }
 

@@ -230,3 +230,54 @@ func TestCancelScaleParallelLatency(t *testing.T) {
 		t.Fatalf("canceled scale evaluation took %v, want roughly one shard round", elapsed)
 	}
 }
+
+// TestCancelSharedTableBuild cancels the request that is building a shared
+// space table: the build publishes nothing, and the next request over the
+// same ProbAssignment builds the table and answers as a fresh evaluator
+// over a private assignment does.
+func TestCancelSharedTableBuild(t *testing.T) {
+	sys := gen.MustScaleSystem(gen.ScaleConfig{NumAgents: 2, NumRuns: 2048, RunLen: 4, Buckets: 8})
+	props := map[string]system.Fact{"p": gen.ScaleFact("p", 3)}
+	shared := core.NewProbAssignment(sys, core.Post(sys))
+	f := PrGeq(0, Prop("p"), rat.New(1, 3))
+
+	canceled := NewEvaluator(sys, shared, props)
+	if _, err := canceled.DenseExtension(Prop("p")); err != nil {
+		t.Fatal(err)
+	}
+	// The first hook call is the Pr node's own entry check; the second is
+	// the table build's first stride poll.
+	calls := 0
+	canceled.SetCancel(func() error {
+		calls++
+		if calls >= 2 {
+			return errCancelTest
+		}
+		return nil
+	})
+	if _, err := canceled.DenseExtension(f); !errors.Is(err, errCancelTest) {
+		t.Fatalf("evaluation during a canceled table build returned %v, want the hook's error", err)
+	}
+	if calls != 2 {
+		t.Fatalf("hook called %d times, want 2: the table build must stop at its first poll", calls)
+	}
+	if shared.TableIfBuilt(0) != nil {
+		t.Fatal("a canceled build published its table")
+	}
+
+	next := NewEvaluator(sys, shared, props)
+	got, err := next.DenseExtension(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if shared.TableIfBuilt(0) == nil {
+		t.Fatal("the next request did not publish the table")
+	}
+	want, err := NewEvaluator(sys, core.NewProbAssignment(sys, core.Post(sys)), props).DenseExtension(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !got.Equal(want) {
+		t.Fatal("extension after a canceled shared build differs from a private evaluator's")
+	}
+}

@@ -76,12 +76,21 @@ func randomFormula(rng *rand.Rand, depth, nprops, nagents int) Formula {
 	}
 }
 
-// TestDifferentialDenseVsReference is the executable-specification check:
-// on ~200 seeded random (system, formula) cases the dense evaluator must
-// agree point-for-point with the retained naive ReferenceEvaluator.
-func TestDifferentialDenseVsReference(t *testing.T) {
+// diffCase is one seeded differential case: a random system, its random
+// propositions, and random formulas over them.
+type diffCase struct {
+	seed     int64
+	sys      *system.System
+	props    map[string]system.Fact
+	formulas []Formula
+}
+
+// differentialCases generates n seeded cases from seeds base, base+1, ...,
+// cycling through generator configurations that cover one to three agents
+// and one to three trees, each case with five depth-4 formulas over three
+// propositions.
+func differentialCases(base int64, n int) []diffCase {
 	const (
-		numSystems     = 40
 		formulasPerSys = 5
 		propsPerSys    = 3
 		formulaDepth   = 4
@@ -92,37 +101,114 @@ func TestDifferentialDenseVsReference(t *testing.T) {
 		{NumAgents: 2, NumTrees: 3, MaxDepth: 4, MaxBranch: 2, Synchronous: true, ObservationLevels: true},
 		{NumAgents: 1, NumTrees: 1, MaxDepth: 4, MaxBranch: 3, Synchronous: true, ObservationLevels: false},
 	}
-	for s := 0; s < numSystems; s++ {
-		rng := rand.New(rand.NewSource(int64(1000 + s)))
+	out := make([]diffCase, n)
+	for s := range out {
+		dc := &out[s]
+		dc.seed = base + int64(s)
+		rng := rand.New(rand.NewSource(dc.seed))
 		cfg := cfgs[s%len(cfgs)]
-		sys := gen.MustSystem(rng, cfg)
-		props := make(map[string]system.Fact, propsPerSys)
+		dc.sys = gen.MustSystem(rng, cfg)
+		dc.props = make(map[string]system.Fact, propsPerSys)
 		for j := 0; j < propsPerSys; j++ {
 			name := fmt.Sprintf("p%d", j)
-			props[name] = gen.RandomFact(rng, sys, name)
+			dc.props[name] = gen.RandomFact(rng, dc.sys, name)
 		}
-		P := core.NewProbAssignment(sys, core.Post(sys))
-		dense := NewEvaluator(sys, P, props)
-		naive := NewReferenceEvaluator(sys, P, props)
-
 		for j := 0; j < formulasPerSys; j++ {
-			f := randomFormula(rng, formulaDepth, propsPerSys, cfg.NumAgents)
+			dc.formulas = append(dc.formulas, randomFormula(rng, formulaDepth, propsPerSys, cfg.NumAgents))
+		}
+	}
+	return out
+}
+
+// TestDifferentialDenseVsReference is the executable-specification check:
+// on ~200 seeded random (system, formula) cases the dense evaluator must
+// agree point-for-point with the retained naive ReferenceEvaluator.
+func TestDifferentialDenseVsReference(t *testing.T) {
+	for _, dc := range differentialCases(1000, 40) {
+		P := core.NewProbAssignment(dc.sys, core.Post(dc.sys))
+		dense := NewEvaluator(dc.sys, P, dc.props)
+		naive := NewReferenceEvaluator(dc.sys, P, dc.props)
+
+		for _, f := range dc.formulas {
 			want, errN := naive.Extension(f)
 			got, errD := dense.Extension(f)
 			if (errN == nil) != (errD == nil) {
-				t.Fatalf("seed %d formula %s: error disagreement: naive %v, dense %v", 1000+s, f, errN, errD)
+				t.Fatalf("seed %d formula %s: error disagreement: naive %v, dense %v", dc.seed, f, errN, errD)
 			}
 			if errN != nil {
 				continue
 			}
 			if !got.Equal(want) {
-				for p := range sys.Points() {
+				for p := range dc.sys.Points() {
 					if got.Contains(p) != want.Contains(p) {
 						t.Errorf("seed %d formula %s: disagreement at %v: dense %v, naive %v",
-							1000+s, f, p, got.Contains(p), want.Contains(p))
+							dc.seed, f, p, got.Contains(p), want.Contains(p))
 					}
 				}
-				t.Fatalf("seed %d formula %s: extensions differ", 1000+s, f)
+				t.Fatalf("seed %d formula %s: extensions differ", dc.seed, f)
+			}
+		}
+	}
+}
+
+// TestDifferentialSharedTables repeats the ~200 differential cases with the
+// dense space tables shared: four goroutines, each with its own evaluator,
+// evaluate the case's formulas in rotated orders over one ProbAssignment,
+// racing to build its tables. Every goroutine's extensions must be
+// byte-identical to those of a private evaluator and of the
+// ReferenceEvaluator, for the keyed post assignment and for an unkeyed
+// copy of it, whose tables group points by sample content.
+func TestDifferentialSharedTables(t *testing.T) {
+	const goroutines = 4
+	for _, dc := range differentialCases(1000, 40) {
+		post := core.Post(dc.sys)
+		idx := dc.sys.Index()
+		for _, sa := range []core.SampleAssignment{post, core.NewAssignment("post/unkeyed", post.Sample)} {
+			// want[j] is the reference extension's bitset key, or "" when
+			// the reference reports an error.
+			want := make([]string, len(dc.formulas))
+			naive := NewReferenceEvaluator(dc.sys, core.NewProbAssignment(dc.sys, sa), dc.props)
+			private := NewEvaluator(dc.sys, core.NewProbAssignment(dc.sys, sa), dc.props)
+			for j, f := range dc.formulas {
+				ref, errN := naive.Extension(f)
+				got, errD := private.DenseExtension(f)
+				if (errN == nil) != (errD == nil) {
+					t.Fatalf("seed %d %s formula %s: error disagreement: naive %v, private %v", dc.seed, sa.Name(), f, errN, errD)
+				}
+				if errN != nil {
+					continue
+				}
+				want[j] = idx.DenseOf(ref).Key()
+				if got.Key() != want[j] {
+					t.Fatalf("seed %d %s formula %s: private extension differs from reference", dc.seed, sa.Name(), f)
+				}
+			}
+			shared := core.NewProbAssignment(dc.sys, sa)
+			var wg sync.WaitGroup
+			errs := make(chan error, goroutines)
+			for g := 0; g < goroutines; g++ {
+				wg.Add(1)
+				go func(g int) {
+					defer wg.Done()
+					ev := NewEvaluator(dc.sys, shared, dc.props)
+					for k := range dc.formulas {
+						j := (k + g) % len(dc.formulas)
+						got, err := ev.DenseExtension(dc.formulas[j])
+						if (err == nil) != (want[j] != "") {
+							errs <- fmt.Errorf("seed %d %s formula %s: shared evaluator error %v disagrees with reference", dc.seed, sa.Name(), dc.formulas[j], err)
+							return
+						}
+						if err == nil && got.Key() != want[j] {
+							errs <- fmt.Errorf("seed %d %s formula %s: shared extension differs from reference", dc.seed, sa.Name(), dc.formulas[j])
+							return
+						}
+					}
+				}(g)
+			}
+			wg.Wait()
+			close(errs)
+			for err := range errs {
+				t.Fatal(err)
 			}
 		}
 	}
@@ -130,8 +216,9 @@ func TestDifferentialDenseVsReference(t *testing.T) {
 
 // TestConcurrentSharedIndex checks the sharing contract under the race
 // detector: many evaluators over one system concurrently build and read the
-// shared point index, cell partitions and resolved spaces. Each goroutine
-// owns its evaluator; only System/Index state is shared.
+// shared point index, cell partitions and dense space tables. Each
+// goroutine owns its evaluator; the System, its Index and the
+// ProbAssignment are shared.
 func TestConcurrentSharedIndex(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	cfg := gen.Config{NumAgents: 3, NumTrees: 2, MaxDepth: 4, MaxBranch: 3, Synchronous: true, ObservationLevels: true}
@@ -198,44 +285,23 @@ func forceParallel() func() {
 // ReferenceEvaluator no matter how the sweeps were sharded.
 func TestDifferentialParallelVsReference(t *testing.T) {
 	defer forceParallel()()
-	const (
-		numSystems     = 20
-		formulasPerSys = 5
-		propsPerSys    = 3
-		formulaDepth   = 4
-	)
-	cfgs := []gen.Config{
-		gen.DefaultConfig(),
-		{NumAgents: 3, NumTrees: 2, MaxDepth: 3, MaxBranch: 3, Synchronous: true, ObservationLevels: true},
-		{NumAgents: 2, NumTrees: 3, MaxDepth: 4, MaxBranch: 2, Synchronous: true, ObservationLevels: true},
-		{NumAgents: 1, NumTrees: 1, MaxDepth: 4, MaxBranch: 3, Synchronous: true, ObservationLevels: false},
-	}
-	for s := 0; s < numSystems; s++ {
-		rng := rand.New(rand.NewSource(int64(4000 + s)))
-		cfg := cfgs[s%len(cfgs)]
-		sys := gen.MustSystem(rng, cfg)
-		props := make(map[string]system.Fact, propsPerSys)
-		for j := 0; j < propsPerSys; j++ {
-			name := fmt.Sprintf("p%d", j)
-			props[name] = gen.RandomFact(rng, sys, name)
-		}
-		P := core.NewProbAssignment(sys, core.Post(sys))
-		dense := NewEvaluator(sys, P, props)
+	for _, dc := range differentialCases(4000, 20) {
+		P := core.NewProbAssignment(dc.sys, core.Post(dc.sys))
+		dense := NewEvaluator(dc.sys, P, dc.props)
 		dense.SetParallelism(4)
-		naive := NewReferenceEvaluator(sys, P, props)
+		naive := NewReferenceEvaluator(dc.sys, P, dc.props)
 
-		for j := 0; j < formulasPerSys; j++ {
-			f := randomFormula(rng, formulaDepth, propsPerSys, cfg.NumAgents)
+		for _, f := range dc.formulas {
 			want, errN := naive.Extension(f)
 			got, errD := dense.Extension(f)
 			if (errN == nil) != (errD == nil) {
-				t.Fatalf("seed %d formula %s: error disagreement: naive %v, parallel %v", 4000+s, f, errN, errD)
+				t.Fatalf("seed %d formula %s: error disagreement: naive %v, parallel %v", dc.seed, f, errN, errD)
 			}
 			if errN != nil {
 				continue
 			}
 			if !got.Equal(want) {
-				t.Fatalf("seed %d formula %s: parallel extension differs from reference", 4000+s, f)
+				t.Fatalf("seed %d formula %s: parallel extension differs from reference", dc.seed, f)
 			}
 		}
 	}

@@ -3,10 +3,8 @@ package logic
 import (
 	"errors"
 	"fmt"
-	"sync"
 
 	"kpa/internal/core"
-	"kpa/internal/measure"
 	"kpa/internal/rat"
 	"kpa/internal/system"
 )
@@ -33,10 +31,12 @@ var (
 // (system.Index): subformula extensions are DenseSet bitsets combined by
 // word-wise arithmetic, K_i uses the index's cached information-cell
 // partition ("cell ⊆ extension" is one AND-NOT sweep per cell), and Pr_i
-// resolves each point's probability space once into a per-agent table that
-// every later probability query — in particular every iteration of the
-// E_G^α/C_G^α fixpoints — reuses. The exported API still speaks PointSet;
-// conversion happens only at this boundary and is memoized.
+// reads the probability assignment's dense space table for the agent
+// (core.SpaceTable: run fibers as dense IDs, built once per assignment and
+// shared by every evaluator over it), which every later probability query —
+// in particular every iteration of the E_G^α/C_G^α fixpoints — reuses. The
+// exported API still speaks PointSet; conversion happens only at this
+// boundary and is memoized.
 //
 // An Evaluator memoizes formula extensions (the set of points where each
 // subformula holds) by node identity, so reusing formula objects across
@@ -48,9 +48,11 @@ var (
 // across goroutines must give each goroutine its own Evaluator, or check
 // evaluators in and out of a pool (see internal/service). A pooled
 // evaluator stays warm — its memo survives between checkouts — and can be
-// cheaply demoted to cold with Reset when the memo grows past a cap; the
+// cheaply demoted to cold with Reset when the memo grows past a cap. The
 // underlying System, its point index, and props are read-only and may be
-// shared freely.
+// shared freely, and so may the core.ProbAssignment: many evaluators over
+// one assignment share its space tables, and the first to need a table
+// builds it.
 type Evaluator struct {
 	sys   *system.System
 	idx   *system.Index
@@ -60,19 +62,11 @@ type Evaluator struct {
 	memo    map[Formula]*system.DenseSet // dense extensions, by node identity
 	extMemo map[Formula]system.PointSet  // boundary conversions of memo entries
 
-	// spaceIdx[i] holds agent i's probability spaces resolved into a dense
-	// table: the distinct spaces in first-occurrence order plus a dense-ID →
-	// space-index map, built lazily once per agent. The table depends only
-	// on the system and the assignment, so it survives Reset and DefineProp.
-	spaceIdx map[system.AgentID]*spaceIndex
-
-	// prVerdicts memoizes probability-threshold verdicts by (space, inner-
-	// or hit-run pattern, bound). Fixpoint iterations re-ask mostly
-	// unchanged questions — a space whose run pattern did not move between
-	// rounds skips the exact rational arithmetic entirely. Like spaces,
-	// entries depend only on the immutable system and assignment, so the
-	// cache survives Reset and DefineProp.
-	prVerdicts map[prVerdictKey]bool
+	// pr memoizes probability-threshold verdicts (see prMemo). Its
+	// entries depend only on the immutable system and assignment, so it
+	// survives DefineProp; it counts toward MemoWords and Reset drops it,
+	// so a pool's memo cap bounds it too.
+	pr prMemo
 
 	// cancel is the optional cooperative-cancellation hook installed by
 	// SetCancel; nil means evaluation runs to completion.
@@ -87,32 +81,10 @@ type Evaluator struct {
 	metrics *EngineMetrics
 }
 
-// spaceIndex is one agent's probability-space table in dense form: spaces
-// holds the distinct *measure.Space values in order of first occurrence by
-// dense point ID, and byID maps each dense ID to its space's position in
-// spaces. Keyed assignments share one space across each information cell, so
-// len(spaces) is the number of cells — tiny next to the point count — and
-// per-space work (probability verdicts) parallelizes over spaces while
-// per-point work (verdict fan-out) parallelizes over 64-aligned ID ranges.
-type spaceIndex struct {
-	spaces []*measure.Space
-	byID   []int32
-}
-
 // cancelStride is how many points a linear scan (proposition extension,
 // probability table sweep) may visit between cancellation checks. Power of
 // two so the hot loops can test id&(cancelStride-1) == 0.
 const cancelStride = 4096
-
-// prVerdictKey identifies one probability-threshold verdict: does the run
-// set with this bit pattern, conditioned on this space, have probability ≥
-// (geq) or ≤ (!geq) the bound?
-type prVerdictKey struct {
-	sp    *measure.Space
-	runs  string // RunSet.Key of the inner (geq) or hit (!geq) runs
-	bound string // rat.Key of the threshold
-	geq   bool
-}
 
 // NewEvaluator builds an evaluator for the system. prob may be nil if no
 // probability operators will be evaluated; props maps primitive proposition
@@ -123,15 +95,13 @@ func NewEvaluator(sys *system.System, prob *core.ProbAssignment, props map[strin
 		cp[k] = v
 	}
 	return &Evaluator{
-		sys:        sys,
-		idx:        sys.Index(),
-		prob:       prob,
-		props:      cp,
-		memo:       make(map[Formula]*system.DenseSet),
-		extMemo:    make(map[Formula]system.PointSet),
-		spaceIdx:   make(map[system.AgentID]*spaceIndex),
-		prVerdicts: make(map[prVerdictKey]bool),
-		par:        1,
+		sys:     sys,
+		idx:     sys.Index(),
+		prob:    prob,
+		props:   cp,
+		memo:    make(map[Formula]*system.DenseSet),
+		extMemo: make(map[Formula]system.PointSet),
+		par:     1,
 	}
 }
 
@@ -146,14 +116,15 @@ func (e *Evaluator) DefineProp(name string, fact system.Fact) {
 	e.extMemo = make(map[Formula]system.PointSet)
 }
 
-// Reset drops the memo table, returning the evaluator to its
-// freshly-constructed state. Pools call this when a long-lived evaluator's
-// memo exceeds their cap; the proposition table and the per-agent space
-// tables (which depend only on the immutable system and assignment) are
-// kept.
+// Reset drops the memo tables — the subformula extensions and the Pr
+// verdicts — returning the evaluator to its freshly-constructed state.
+// Pools call this when a long-lived evaluator's memo exceeds their cap; the
+// proposition table is kept, and so are the dense space tables, which
+// belong to the shared probability assignment.
 func (e *Evaluator) Reset() {
 	e.memo = make(map[Formula]*system.DenseSet)
 	e.extMemo = make(map[Formula]system.PointSet)
+	e.pr = prMemo{}
 }
 
 // SetCancel installs a cooperative-cancellation hook. The evaluator calls
@@ -186,11 +157,11 @@ func (e *Evaluator) checkCancel() error {
 // MemoLen reports the number of memoized subformula extensions.
 func (e *Evaluator) MemoLen() int { return len(e.memo) }
 
-// MemoWords reports the evaluator's memo footprint in 64-bit words across
-// the memoized dense extensions, so pools can bound a pooled evaluator's
-// memory rather than just its entry count.
+// MemoWords reports the evaluator's memo footprint in 64-bit words: the
+// memoized dense extensions plus the Pr verdict memo, so pools can bound a
+// pooled evaluator's memory rather than just its entry count.
 func (e *Evaluator) MemoWords() int {
-	return len(e.memo) * e.idx.Words()
+	return len(e.memo)*e.idx.Words() + e.pr.words()
 }
 
 // Holds reports whether the formula is true at the point.
@@ -575,225 +546,6 @@ func (e *Evaluator) knowExtension(i system.AgentID, ext *system.DenseSet) (*syst
 	cells := e.idx.CellsPar(i, workers)
 	ps, stop := e.stopFn()
 	out := cells.KnowExtension(ext, workers, stop)
-	if err := ps.Err(); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// spaceIndexFor returns (building on first use) agent i's dense space
-// table. The keyed path shards like CellsPar: each worker numbers the
-// distinct sample keys of its 64-aligned ID range privately (phase 1), the
-// shard numberings are merged in shard order — reproducing the serial
-// first-occurrence order — and one space is constructed per distinct key
-// (phase 2, serial: ProbAssignment.Space mutates its caches), and the
-// shard-local numbers are remapped in place (phase 3). Non-keyed
-// assignments fall back to one serial Space call per point.
-func (e *Evaluator) spaceIndexFor(i system.AgentID) (*spaceIndex, error) {
-	if sx, ok := e.spaceIdx[i]; ok {
-		return sx, nil
-	}
-	n := e.idx.NumPoints()
-	sx := &spaceIndex{byID: make([]int32, n)}
-	keyed, _ := e.prob.SampleAssignment().(core.KeyedAssignment)
-	built := false
-	if keyed != nil {
-		// One region spans all three phases: phase 3 reuses phase 1's
-		// worker count, so ParRange reproduces the shard boundaries and
-		// each ID's shard-local number is remapped through its own
-		// shard's table.
-		workers, release := e.parWorkers(n)
-		defer release()
-		ps, stop := e.stopFn()
-		type shardKeys struct {
-			byKey map[string]int32
-			keys  []string
-			rep   []int // representative dense ID per local key
-		}
-		var (
-			perShard []shardKeys
-			mu       sync.Mutex
-			unkeyed  bool
-		)
-		system.ParRange(n, 64, workers, func(shard, lo, hi int) {
-			sk := shardKeys{byKey: make(map[string]int32)}
-			for id := lo; id < hi; id++ {
-				if stop != nil && id&(cancelStride-1) == 0 && id > lo && stop() {
-					return
-				}
-				key, ok := keyed.SampleKey(i, e.idx.PointAt(id))
-				if !ok {
-					mu.Lock()
-					unkeyed = true
-					mu.Unlock()
-					return
-				}
-				k, seen := sk.byKey[key]
-				if !seen {
-					k = int32(len(sk.keys))
-					sk.byKey[key] = k
-					sk.keys = append(sk.keys, key)
-					sk.rep = append(sk.rep, id)
-				}
-				sx.byID[id] = k // shard-local numbering, remapped below
-			}
-			mu.Lock()
-			for len(perShard) <= shard {
-				perShard = append(perShard, shardKeys{})
-			}
-			perShard[shard] = sk
-			mu.Unlock()
-		})
-		if err := ps.Err(); err != nil {
-			return nil, err
-		}
-		if !unkeyed {
-			global := make(map[string]int32)
-			remap := make([][]int32, len(perShard))
-			for s, sk := range perShard {
-				remap[s] = make([]int32, len(sk.keys))
-				for k, key := range sk.keys {
-					g, ok := global[key]
-					if !ok {
-						g = int32(len(sx.spaces))
-						global[key] = g
-						sp, err := e.prob.Space(i, e.idx.PointAt(sk.rep[k]))
-						if err != nil {
-							return nil, fmt.Errorf("Pr%d at %v: %w", i+1, e.idx.PointAt(sk.rep[k]), err)
-						}
-						sx.spaces = append(sx.spaces, sp)
-					}
-					remap[s][k] = g
-				}
-			}
-			system.ParRange(n, 64, workers, func(shard, lo, hi int) {
-				tab := remap[shard]
-				for id := lo; id < hi; id++ {
-					if stop != nil && id&(cancelStride-1) == 0 && id > lo && stop() {
-						return
-					}
-					sx.byID[id] = tab[sx.byID[id]]
-				}
-			})
-			if err := ps.Err(); err != nil {
-				return nil, err
-			}
-			built = true
-		}
-	}
-	if !built {
-		pos := make(map[*measure.Space]int32)
-		for id := 0; id < n; id++ {
-			if id&(cancelStride-1) == 0 && id > 0 {
-				if err := e.checkCancel(); err != nil {
-					return nil, err
-				}
-			}
-			c := e.idx.PointAt(id)
-			sp, err := e.prob.Space(i, c)
-			if err != nil {
-				return nil, fmt.Errorf("Pr%d at %v: %w", i+1, c, err)
-			}
-			k, ok := pos[sp]
-			if !ok {
-				k = int32(len(sx.spaces))
-				pos[sp] = k
-				sx.spaces = append(sx.spaces, sp)
-			}
-			sx.byID[id] = k
-		}
-	}
-	e.spaceIdx[i] = sx
-	return sx, nil
-}
-
-// prExtension computes {c : inner measure of S_ic ∩ ext ≥ α} (geq) or
-// {c : outer measure ≤ α} (leq) in two sharded phases: one measure verdict
-// per distinct space (phase A, parallel over spaces — keyed assignments
-// have one space per information cell, so this is the expensive exact-
-// rational part), then one sweep over the dense IDs fanning each verdict
-// out to the points sharing the space (phase B, parallel over 64-aligned ID
-// ranges). Phase A's shards read the shared verdict memo and buffer new
-// entries privately; the calling goroutine merges them after the barrier,
-// so the memo is never written concurrently.
-func (e *Evaluator) prExtension(i system.AgentID, ext *system.DenseSet, bound rat.Rat, geq bool) (*system.DenseSet, error) {
-	if e.prob == nil {
-		return nil, ErrNoProbability
-	}
-	sx, err := e.spaceIndexFor(i)
-	if err != nil {
-		return nil, err
-	}
-	contains := ext.ContainsPoint
-	boundKey := bound.Key()
-	verdicts := make([]bool, len(sx.spaces))
-	workers, release := e.parWorkers(e.idx.NumPoints())
-	defer release()
-	ps, stop := e.stopFn()
-	var (
-		mu    sync.Mutex
-		fresh []map[prVerdictKey]bool
-	)
-	system.ParRange(len(sx.spaces), 1, workers, func(_, lo, hi int) {
-		// Reduce each query to a run pattern (cheap bit scanning), then
-		// look the pattern's verdict up before falling back to exact
-		// rational arithmetic. Fixpoint rounds re-ask the same patterns
-		// for most spaces, so the fallback runs rarely.
-		var local map[prVerdictKey]bool
-		for si := lo; si < hi; si++ {
-			if stop != nil && si&15 == 0 && stop() {
-				return
-			}
-			sp := sx.spaces[si]
-			var runs system.RunSet
-			if geq {
-				runs = sp.InnerRuns(contains)
-			} else {
-				runs = sp.OuterRuns(contains)
-			}
-			key := prVerdictKey{sp: sp, runs: runs.Key(), bound: boundKey, geq: geq}
-			v, ok := e.prVerdicts[key]
-			if !ok {
-				v, ok = local[key]
-				if !ok {
-					if geq {
-						v = sp.ProbOfRuns(runs).GreaterEq(bound)
-					} else {
-						v = sp.ProbOfRuns(runs).LessEq(bound)
-					}
-					if local == nil {
-						local = make(map[prVerdictKey]bool)
-					}
-					local[key] = v
-				}
-			}
-			verdicts[si] = v
-		}
-		if local != nil {
-			mu.Lock()
-			fresh = append(fresh, local)
-			mu.Unlock()
-		}
-	})
-	if err := ps.Err(); err != nil {
-		return nil, err
-	}
-	for _, m := range fresh {
-		for k, v := range m {
-			e.prVerdicts[k] = v
-		}
-	}
-	out := e.idx.NewDense()
-	system.ParRange(len(sx.byID), 64, workers, func(_, lo, hi int) {
-		for id := lo; id < hi; id++ {
-			if stop != nil && id&(cancelStride-1) == 0 && id > lo && stop() {
-				return
-			}
-			if verdicts[sx.byID[id]] {
-				out.Add(id)
-			}
-		}
-	})
 	if err := ps.Err(); err != nil {
 		return nil, err
 	}

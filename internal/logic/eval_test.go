@@ -440,3 +440,54 @@ func TestEvaluatorReset(t *testing.T) {
 		t.Fatalf("verdict changed across Reset: %v -> %v", want, got)
 	}
 }
+
+// TestPrMemoBoundedByReset checks that the Pr verdict memo counts toward
+// MemoWords and that Reset drops it, so a pool's memo cap bounds it as it
+// bounds the extension memo.
+func TestPrMemoBoundedByReset(t *testing.T) {
+	e, _ := introEval(t)
+	// Under post, p1's spaces after the toss weigh heads against tails:
+	// the inner pattern of heads is neither empty nor full, so the verdict
+	// takes exact arithmetic and lands in the memo.
+	if _, err := e.Valid(MustParse("K1^1/2 heads")); err != nil {
+		t.Fatal(err)
+	}
+	if ext := e.MemoLen() * e.idx.Words(); e.MemoWords() <= ext {
+		t.Fatalf("MemoWords = %d, no more than the %d words of extensions: the verdict memo is not counted", e.MemoWords(), ext)
+	}
+	e.Reset()
+	if e.MemoWords() != 0 {
+		t.Fatalf("MemoWords after Reset = %d, want 0", e.MemoWords())
+	}
+}
+
+// TestPrMemoKeyedByAgent asks the same threshold question of two agents
+// whose space tables both number a two-run space 1 after the toss, with
+// the same run pattern but different probabilities: the verdict memo must
+// keep their answers apart. Runs r0, r1, r2 have probabilities 1/2, 1/3
+// and 1/6; after the toss p1 confuses r0 with r1 and p2 confuses r0 with
+// r2, so "r0" has probability 3/5 for p1 and 3/4 for p2.
+func TestPrMemoKeyedByAgent(t *testing.T) {
+	b := system.NewTree("t", system.NewGlobalState("root", "a0", "b0"))
+	b.Child(0, rat.Half, system.NewGlobalState("r0", "a1", "b1"))
+	b.Child(0, rat.New(1, 3), system.NewGlobalState("r1", "a1", "b2"))
+	b.Child(0, rat.New(1, 6), system.NewGlobalState("r2", "a2", "b1"))
+	sys := system.MustNew(2, b.MustBuild())
+	r0 := system.EnvFact("r0", func(env string) bool { return env == "r0" })
+	e := NewEvaluator(sys, core.NewProbAssignment(sys, core.Post(sys)), map[string]system.Fact{"r0": r0})
+	for _, tc := range []struct {
+		f    string
+		want int
+	}{
+		{"Pr1(r0) >= 3/4", 0},
+		{"Pr2(r0) >= 3/4", 2}, // r0 and r2 after the toss
+	} {
+		ext, err := e.DenseExtension(MustParse(tc.f))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ext.Len() != tc.want {
+			t.Errorf("%s holds at %d points, want %d", tc.f, ext.Len(), tc.want)
+		}
+	}
+}

@@ -55,7 +55,7 @@ func (m *PointMeasure) validExtension() error {
 		}
 		totals[p.Run] = t.Add(w)
 	}
-	for _, r := range m.space.Runs().Runs() {
+	for _, r := range m.space.runs {
 		want := m.space.Tree().RunProb(r).Div(m.space.BaseProb())
 		got, ok := totals[r]
 		if !ok || !got.Equal(want) {

@@ -3,6 +3,7 @@ package measure
 import (
 	"errors"
 	"fmt"
+	"sort"
 
 	"kpa/internal/rat"
 	"kpa/internal/system"
@@ -39,13 +40,15 @@ var (
 type Space struct {
 	tree   *system.Tree
 	sample system.PointSet
-	runs   system.RunSet // R(S_ic)
-	base   rat.Rat       // μ_A(R(S_ic)) > 0
+	base   rat.Rat // μ_A(R(S_ic)) > 0
 
-	// fibers[r] lists the sample points on run r in time order: the run
-	// fiber index. Every measure query (Inner, Outer, IsMeasurable, Prob,
-	// Expect) reduces to a walk over run fibers, so precomputing them once
-	// at construction removes the per-call RunsThrough projections.
+	// runs lists R(S_ic) in ascending order and fibers[k] the sample points
+	// on runs[k] in time order: the run fiber index, sized to the sample
+	// rather than to the tree, so a space costs memory linear in |S_ic|.
+	// Every measure query (Inner, Outer, IsMeasurable, Prob, Expect) reduces
+	// to a walk over the fibers, so precomputing them once at construction
+	// removes the per-call RunsThrough projections.
+	runs   []int
 	fibers [][]system.Point
 }
 
@@ -59,21 +62,31 @@ func NewSpace(sample system.PointSet) (*Space, error) {
 	if tree == nil {
 		return nil, ErrSpansTrees
 	}
-	fibers := make([][]system.Point, tree.NumRuns())
-	for _, p := range sample.Sorted() {
-		fibers[p.Run] = append(fibers[p.Run], p)
-	}
-	runs := system.NewRunSet(tree.NumRuns())
-	for r, f := range fibers {
-		if len(f) > 0 {
-			runs.Add(r)
+	// Sorted orders one tree's points by run, then time, so each fiber is
+	// a contiguous stretch of the sorted slice and shares its backing array.
+	sorted := sample.Sorted()
+	n := 1
+	for k := 1; k < len(sorted); k++ {
+		if sorted[k].Run != sorted[k-1].Run {
+			n++
 		}
 	}
-	base := tree.Prob(runs)
+	runs := make([]int, 0, n)
+	fibers := make([][]system.Point, 0, n)
+	for lo := 0; lo < len(sorted); {
+		hi := lo + 1
+		for hi < len(sorted) && sorted[hi].Run == sorted[lo].Run {
+			hi++
+		}
+		runs = append(runs, sorted[lo].Run)
+		fibers = append(fibers, sorted[lo:hi:hi])
+		lo = hi
+	}
+	base := tree.ProbRuns(runs)
 	if base.Sign() <= 0 {
 		return nil, ErrZeroMeasure
 	}
-	return &Space{tree: tree, sample: sample.Clone(), runs: runs, base: base, fibers: fibers}, nil
+	return &Space{tree: tree, sample: sample.Clone(), base: base, runs: runs, fibers: fibers}, nil
 }
 
 // MustSpace is NewSpace but panics on error; for tests and examples.
@@ -92,7 +105,13 @@ func (s *Space) Tree() *system.Tree { return s.tree }
 func (s *Space) Sample() system.PointSet { return s.sample }
 
 // Runs returns R(S_ic), the runs passing through the sample set.
-func (s *Space) Runs() system.RunSet { return s.runs }
+func (s *Space) Runs() system.RunSet {
+	rs := system.NewRunSet(s.tree.NumRuns())
+	for _, r := range s.runs {
+		rs.Add(r)
+	}
+	return rs
+}
 
 // BaseProb returns μ_A(R(S_ic)), the unconditional probability of the runs
 // through the sample set.
@@ -100,11 +119,11 @@ func (s *Space) BaseProb() rat.Rat { return s.base }
 
 // Fiber returns the points of the sample set lying on run r.
 func (s *Space) Fiber(r int) system.PointSet {
-	out := make(system.PointSet, len(s.fibers[r]))
-	for _, p := range s.fibers[r] {
-		out.Add(p)
+	k := sort.SearchInts(s.runs, r)
+	if k == len(s.runs) || s.runs[k] != r {
+		return make(system.PointSet)
 	}
-	return out
+	return system.NewPointSet(s.fibers[k]...)
 }
 
 // IsMeasurable reports whether set ∩ S_ic ∈ X_ic, i.e. whether the set is a
@@ -115,32 +134,31 @@ func (s *Space) IsMeasurable(set system.PointSet) bool {
 
 func (s *Space) isMeasurableFunc(contains func(system.Point) bool) bool {
 	// Measurable ⟺ every fiber is hit entirely or not at all.
-	all := true
-	s.runs.Iterate(func(r int) {
+	for _, fiber := range s.fibers {
 		hits := 0
-		for _, p := range s.fibers[r] {
+		for _, p := range fiber {
 			if contains(p) {
 				hits++
 			}
 		}
-		if hits != 0 && hits != len(s.fibers[r]) {
-			all = false
+		if hits != 0 && hits != len(fiber) {
+			return false
 		}
-	})
-	return all
+	}
+	return true
 }
 
 // hitRuns returns R(set ∩ S_ic): the runs whose fiber meets the set.
 func (s *Space) hitRuns(contains func(system.Point) bool) system.RunSet {
 	hit := system.NewRunSet(s.tree.NumRuns())
-	s.runs.Iterate(func(r int) {
-		for _, p := range s.fibers[r] {
+	for k, fiber := range s.fibers {
+		for _, p := range fiber {
 			if contains(p) {
-				hit.Add(r)
+				hit.Add(s.runs[k])
 				break
 			}
 		}
-	})
+	}
 	return hit
 }
 
@@ -157,14 +175,15 @@ func (s *Space) Prob(set system.PointSet) (rat.Rat, error) {
 // set — the largest measurable subset of the set is their projection.
 func (s *Space) innerRuns(contains func(system.Point) bool) system.RunSet {
 	ok := system.NewRunSet(s.tree.NumRuns())
-	s.runs.Iterate(func(r int) {
-		for _, p := range s.fibers[r] {
+next:
+	for k, fiber := range s.fibers {
+		for _, p := range fiber {
 			if !contains(p) {
-				return
+				continue next
 			}
 		}
-		ok.Add(r)
-	})
+		ok.Add(s.runs[k])
+	}
 	return ok
 }
 
@@ -262,24 +281,15 @@ func (s *Space) Condition(sub system.PointSet) (*Space, error) {
 func (s *Space) Expect(w func(system.Point) rat.Rat) (rat.Rat, error) {
 	// Walk the run fibers; verify constancy per fiber.
 	acc := rat.Zero
-	var badRun = -1
-	s.runs.Iterate(func(r int) {
-		if badRun >= 0 {
-			return
-		}
-		fiber := s.fibers[r]
+	for k, fiber := range s.fibers {
 		v := w(fiber[0])
 		for _, p := range fiber[1:] {
 			if !w(p).Equal(v) {
-				badRun = r
-				return
+				return rat.Rat{}, fmt.Errorf("expect: %w: variable not constant on run %d",
+					ErrNotMeasurable, s.runs[k])
 			}
 		}
-		acc = acc.Add(v.Mul(s.tree.RunProb(r)))
-	})
-	if badRun >= 0 {
-		return rat.Rat{}, fmt.Errorf("expect: %w: variable not constant on run %d",
-			ErrNotMeasurable, badRun)
+		acc = acc.Add(v.Mul(s.tree.RunProb(s.runs[k])))
 	}
 	return acc.Div(s.base), nil
 }
@@ -325,7 +335,7 @@ func (s *Space) OuterExpectTwoValued(high, low rat.Rat, set system.PointSet) rat
 // MeasurableSets enumerates X_ic as point sets, one per measurable run set
 // of R(S_ic); intended for small spaces in tests (2^|runs| sets!).
 func (s *Space) MeasurableSets() []system.PointSet {
-	runs := s.runs.Runs()
+	runs := s.runs
 	n := len(runs)
 	if n > 20 {
 		panic("measure: MeasurableSets on more than 2^20 sets")

@@ -2,9 +2,12 @@ package measure
 
 import (
 	"errors"
+	"math"
+	"runtime"
 	"testing"
 
 	"kpa/internal/canon"
+	"kpa/internal/gen"
 	"kpa/internal/rat"
 	"kpa/internal/system"
 )
@@ -336,5 +339,34 @@ func TestMeasureInnerEqualsOneMinusOuterComplement(t *testing.T) {
 	if !sp.Inner(set).Equal(rat.One.Sub(sp.Outer(comp))) {
 		t.Errorf("μ_*(S) = %s but 1−μ*(Sᶜ) = %s",
 			sp.Inner(set), rat.One.Sub(sp.Outer(comp)))
+	}
+}
+
+// TestNewSpaceLinearInSample pins the fiber index to the sample: building
+// the space of a one-point sample allocates as many bytes on an 8192-run
+// tree as on a 64-run tree.
+func TestNewSpaceLinearInSample(t *testing.T) {
+	allocated := func(runs int) uint64 {
+		sys := gen.MustScaleSystem(gen.ScaleConfig{NumAgents: 1, NumRuns: runs, RunLen: 2, Buckets: 2})
+		sample := system.NewPointSet(sys.Index().PointAt(1))
+		MustSpace(sample) // warm any lazily built tree state
+		// Bytes per space over 1000 builds, the least of five tries: the
+		// runtime's own occasional allocations only ever add bytes.
+		const builds = 1000
+		least := uint64(math.MaxUint64)
+		for try := 0; try < 5; try++ {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for k := 0; k < builds; k++ {
+				MustSpace(sample)
+			}
+			runtime.ReadMemStats(&after)
+			least = min(least, (after.TotalAlloc-before.TotalAlloc)/builds)
+		}
+		return least
+	}
+	small, large := allocated(64), allocated(8192)
+	if small != large {
+		t.Fatalf("a one-point space allocates %d bytes on a 64-run tree but %d on an 8192-run tree", small, large)
 	}
 }

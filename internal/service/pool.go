@@ -9,19 +9,19 @@ import (
 )
 
 // worker is the unit an evalPool checks out to a goroutine: a non-thread-safe
-// logic.Evaluator with its own core.ProbAssignment (whose space memo is also
-// written during evaluation), plus a parse cache mapping canonical formula
-// text back to the Formula node the evaluator's memo is keyed by. Reusing the
-// node across checkouts is what keeps a warm worker's memo effective.
+// logic.Evaluator over the pool's shared core.ProbAssignment, plus a parse
+// cache mapping canonical formula text back to the Formula node the
+// evaluator's memo is keyed by. Reusing the node across checkouts is what
+// keeps a warm worker's memo effective.
 type worker struct {
 	eval   *logic.Evaluator
 	parsed map[string]logic.Formula
 
 	// poisoned is set when an evaluation on this worker panicked: the
-	// evaluator's internal state (memo maps mid-insert, half-built space
-	// tables) can no longer be trusted, so put discards the worker instead
-	// of lending it to the next request. Only the goroutine holding the
-	// checkout touches the flag.
+	// evaluator's internal state (memo maps mid-insert) can no longer be
+	// trusted, so put discards the worker instead of lending it to the
+	// next request. Only the goroutine holding the checkout touches the
+	// flag.
 	poisoned bool
 }
 
@@ -45,11 +45,17 @@ func (w *worker) formula(canonical string) (logic.Formula, error) {
 // the worker keeps its memo (warm) unless the memo grew past memoCap, in
 // which case it is Reset. The pool creates workers on demand and keeps at
 // most maxIdle of them between requests.
+//
+// Every worker of the pool evaluates over one core.ProbAssignment, which is
+// safe for concurrent use: each agent's dense space table is built once, by
+// the first checkout that needs it (under the engine budget and that
+// request's cancellation), and then read by all of them. A canceled or
+// panicking build publishes nothing, so the next request builds it afresh.
 type evalPool struct {
-	sys    *system.System
-	sample core.SampleAssignment
-	props  map[string]system.Fact
-	eng    *engine
+	sys   *system.System
+	prob  *core.ProbAssignment
+	props map[string]system.Fact
+	eng   *engine
 
 	memoCap int
 	maxIdle int
@@ -65,7 +71,7 @@ type evalPool struct {
 func newEvalPool(sys *system.System, sample core.SampleAssignment, props map[string]system.Fact, memoCap, maxIdle int, eng *engine) *evalPool {
 	return &evalPool{
 		sys:     sys,
-		sample:  sample,
+		prob:    core.NewProbAssignment(sys, sample),
 		props:   props,
 		eng:     eng,
 		memoCap: memoCap,
@@ -85,15 +91,14 @@ func (p *evalPool) get() *worker {
 	}
 	p.created++
 	p.mu.Unlock()
-	// Build outside the lock: constructing the ProbAssignment is cheap but
-	// there is no reason to serialize concurrent cold checkouts. The index
-	// build comes first so the session's one-time point index is sharded
-	// under the engine budget instead of built serially inside NewEvaluator.
+	// Build outside the lock: there is no reason to serialize concurrent
+	// cold checkouts. The index build comes first so the session's one-time
+	// point index is sharded under the engine budget instead of built
+	// serially inside NewEvaluator.
 	if p.eng != nil {
 		p.eng.buildIndex(p.sys)
 	}
-	prob := core.NewProbAssignment(p.sys, p.sample)
-	ev := logic.NewEvaluator(p.sys, prob, p.props)
+	ev := logic.NewEvaluator(p.sys, p.prob, p.props)
 	if p.eng != nil {
 		p.eng.wire(ev)
 	}
@@ -187,7 +192,7 @@ func (p *evalPool) stats() PoolStats {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return PoolStats{
-		Assignment: p.sample.Name(),
+		Assignment: p.prob.Name(),
 		Idle:       len(p.idle),
 		Created:    p.created,
 		Reused:     p.reused,

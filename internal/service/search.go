@@ -427,10 +427,10 @@ func (s *Service) runSearch(job *searchJob, spec *searchSpec, seed *search.Check
 		return
 	}
 	spec.rule.Phi = phi
-	// The problem gets its own ProbAssignment: the compile step writes the
-	// assignment's space cache, which is not safe to share with pooled
-	// evaluators mid-request.
-	prob := core.NewProbAssignment(spec.sess.sys, spec.pool.sample)
+	// The problem gets its own ProbAssignment: the measure spaces its
+	// compile step caches are then freed with the job instead of living as
+	// long as the pool.
+	prob := core.NewProbAssignment(spec.sess.sys, spec.pool.prob.SampleAssignment())
 	p, err := search.NewProblem(prob, spec.i, spec.j, spec.c, spec.rule, spec.payoffs, spec.mode)
 	if err != nil {
 		s.finishSearch(job, nil, badRequest(err))

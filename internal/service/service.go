@@ -288,7 +288,7 @@ func (s *Service) check(ctx context.Context, req CheckRequest) (Verdict, error) 
 	if err != nil {
 		return Verdict{}, err
 	}
-	key := cacheKey{sysHash: sess.hash, assign: pool.sample.Name(), formula: canonical}
+	key := cacheKey{sysHash: sess.hash, assign: pool.prob.Name(), formula: canonical}
 	// Fast path: verdict-cache hits bypass admission control and
 	// singleflight entirely.
 	if v, ok := s.cache.get(key); ok {

@@ -195,6 +195,25 @@ func (t *Tree) Prob(rs RunSet) rat.Rat {
 	return acc
 }
 
+// ProbRuns is Prob for a list of distinct runs: callers holding a run list
+// sized to their sample, not to the tree, avoid a tree-sized RunSet.
+func (t *Tree) ProbRuns(runs []int) rat.Rat {
+	if t.uniform {
+		switch len(runs) {
+		case 0:
+			return rat.Zero
+		case 1:
+			return t.uniformProb
+		}
+		return rat.FromInt(int64(len(runs))).Mul(t.uniformProb)
+	}
+	acc := rat.Zero
+	for _, r := range runs {
+		acc = acc.Add(t.runProbs[r])
+	}
+	return acc
+}
+
 // AllRuns returns the set of all runs of the tree.
 func (t *Tree) AllRuns() RunSet {
 	rs := NewRunSet(len(t.runs))

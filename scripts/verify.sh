@@ -37,6 +37,10 @@ make chaos
 # with ≥4 workers under the race detector (docs/SEARCH.md).
 go test -race -run TestDifferentialAgainstBruteForce -count=1 ./internal/search
 go test -race ./...
+# The benchmark's own module: vet it and run its short tests, which include
+# a smoke run of every workload but knowledge-1m's 10^6-point one and check
+# each against logic.ReferenceEvaluator (perfbench/doc.go).
+(cd perfbench && go vet . && go test -short -count=1 .)
 # Smoke the benchmark trajectory: one iteration each, so a broken or
 # bit-rotted benchmark fails verification without paying for a full run.
 go test -run '^$' -bench . -benchtime 1x ./...
