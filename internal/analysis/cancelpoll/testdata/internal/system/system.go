@@ -28,16 +28,26 @@ func ParRange(n, align, workers int, body func(shard, lo, hi int)) {
 	wg.Wait()
 }
 
-// KnowExtension sweeps the universe with a polled shard body: the
-// sweep stays responsive and the function itself becomes a polling
+// KnowExtension sweeps the universe a word at a time with polled shard
+// bodies, the first of which may stop early once every cell is marked:
+// the sweep stays responsive and the function itself becomes a polling
 // helper for its callers.
-func KnowExtension(n, workers int, stop func() bool, out []uint64) { // want-fact:"cancelpoll:PollsCancel"
+func KnowExtension(n, cells, workers int, stop func() bool, cellOf []int32, out []uint64) { // want-fact:"cancelpoll:PollsCancel"
 	ParRange(n, 64, workers, func(shard, lo, hi int) {
-		for id := lo; id < hi; id++ {
+		marked := 0
+		for id := lo; id < hi && marked < cells; id += 64 {
 			if stop != nil && id&4095 == 0 && id > lo && stop() {
 				return
 			}
-			out[id/64] |= 1 << uint(id%64)
+			marked += int(cellOf[id])
+		}
+	})
+	ParRange(n, 64, workers, func(shard, lo, hi int) {
+		for id := lo; id < hi; id += 64 {
+			if stop != nil && id&4095 == 0 && id > lo && stop() {
+				return
+			}
+			out[id/64] = uint64(cellOf[id])
 		}
 	})
 }
@@ -49,11 +59,17 @@ func PollStop(stop func() bool) bool { // want-fact:"cancelpoll:PollsCancel"
 }
 
 // UnpolledExtension has the hook in scope but never consults it inside
-// the sweep: a cancelled query runs the whole range anyway.
+// the sweeps, point-wise or a word at a time: a cancelled query runs the
+// whole range anyway.
 func UnpolledExtension(n, workers int, stop func() bool, out []uint64) {
 	ParRange(n, 64, workers, func(shard, lo, hi int) {
 		for id := lo; id < hi; id++ { // want `shard sweep over lo:hi without a cancel poll`
 			out[id/64] |= 1 << uint(id%64)
+		}
+	})
+	ParRange(n, 64, workers, func(shard, lo, hi int) {
+		for id := lo; id < hi; id += 64 { // want `shard sweep over lo:hi without a cancel poll`
+			out[id/64] = 0
 		}
 	})
 }

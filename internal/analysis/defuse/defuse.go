@@ -30,6 +30,7 @@ import (
 	"go/token"
 	"go/types"
 	"sort"
+	"sync"
 
 	"kpa/internal/analysis/cfg"
 )
@@ -102,6 +103,11 @@ type Info struct {
 	goLit  map[*ast.FuncLit]bool
 	fresh  map[*types.Var]int8 // memo: 0 unknown, 1 fresh, -1 not
 	rootsM map[*types.Var]*aliasResult
+
+	// memoMu serializes Fresh and AliasRoots, which fill the fresh and
+	// rootsM memos lazily: the driver hands one Info to every analyzer
+	// of a pass, and analyzers run in parallel.
+	memoMu sync.Mutex
 }
 
 // New computes the def-use summary of body. info must be the
@@ -178,6 +184,8 @@ func FreshExpr(e ast.Expr) bool {
 // tuple or parameter binding, or a def through an opaque call is not
 // fresh.
 func (in *Info) Fresh(obj *types.Var) bool {
+	in.memoMu.Lock()
+	defer in.memoMu.Unlock()
 	return in.freshVar(obj, make(map[*types.Var]bool))
 }
 
@@ -234,6 +242,8 @@ type aliasResult struct {
 // alias anything. Fresh allocations and scalar arithmetic contribute no
 // roots.
 func (in *Info) AliasRoots(obj *types.Var) (roots []*types.Var, opaque bool) {
+	in.memoMu.Lock()
+	defer in.memoMu.Unlock()
 	r := in.aliasVar(obj, make(map[*types.Var]bool))
 	return r.roots, r.opaque
 }

@@ -147,8 +147,10 @@ func BenchmarkScaleIndexBuild(b *testing.B) {
 	reportPeakRSS(b)
 }
 
-// BenchmarkScaleKnowledge is one K_i sweep: cell partition subset checks
-// plus the sharded point fill.
+// BenchmarkScaleKnowledge is one K_i sweep: the sharded bad-cell marking
+// plus, when the cells are mixed, the sharded point fill. The proposition's
+// extension is built once, by the first iteration, into the evaluator's
+// proposition table, which Reset keeps.
 func BenchmarkScaleKnowledge(b *testing.B) {
 	scaleBenchFormula(b, K(0, Prop("p")))
 }

@@ -281,3 +281,39 @@ func TestCancelSharedTableBuild(t *testing.T) {
 		t.Fatal("extension after a canceled shared build differs from a private evaluator's")
 	}
 }
+
+// TestCancelTemporalSweeps cancels each temporal operator's sweep over a
+// scale system: with the operands pre-warmed, the first hook call is the
+// node's own entry check and the second is the sweep's first poll, after
+// cancelStride points, so the sweep must stop there with the hook's error.
+func TestCancelTemporalSweeps(t *testing.T) {
+	sys := gen.MustScaleSystem(gen.ScaleConfig{NumAgents: 2, NumRuns: 2048, RunLen: 4, Buckets: 8})
+	p, q := Prop("p"), Prop("q")
+	for _, f := range []Formula{Next(p), Until(p, q), Eventually(p), Always(p)} {
+		e := NewEvaluator(sys, nil, map[string]system.Fact{"p": gen.ScaleFact("p", 3), "q": gen.ScaleFact("q", 5)})
+		for _, sub := range []Formula{p, q, True, Not(p)} {
+			if _, err := e.DenseExtension(sub); err != nil {
+				t.Fatal(err)
+			}
+		}
+		calls := 0
+		e.SetCancel(func() error {
+			calls++
+			if calls >= 2 {
+				return errCancelTest
+			}
+			return nil
+		})
+		if _, err := e.DenseExtension(f); !errors.Is(err, errCancelTest) {
+			t.Fatalf("%s: sweep returned %v, want the hook's error", f, err)
+		}
+		if calls != 2 {
+			t.Fatalf("%s: hook called %d times, want 2: the sweep must stop at its first poll", f, calls)
+		}
+		// The atoms live in the proposition table, so the memo holds
+		// just the two warmed compound formulas.
+		if e.MemoLen() != 2 {
+			t.Fatalf("%s: memo holds %d entries after a canceled sweep, want the 2 warmed ones", f, e.MemoLen())
+		}
+	}
+}

@@ -152,17 +152,20 @@ func TestDifferentialDenseVsReference(t *testing.T) {
 }
 
 // TestDifferentialSharedTables repeats the ~200 differential cases with the
-// dense space tables shared: four goroutines, each with its own evaluator,
-// evaluate the case's formulas in rotated orders over one ProbAssignment,
-// racing to build its tables. Every goroutine's extensions must be
-// byte-identical to those of a private evaluator and of the
-// ReferenceEvaluator, for the keyed post assignment and for an unkeyed
+// dense space tables and the proposition table shared: four goroutines,
+// each with its own evaluator, evaluate the case's formulas in rotated
+// orders over one ProbAssignment and one PropTable, racing to build their
+// tables. The PropTable is shared across both assignments of the case, as
+// a service session shares it across its pools. Every goroutine's
+// extensions must be byte-identical to those of a private evaluator and of
+// the ReferenceEvaluator, for the keyed post assignment and for an unkeyed
 // copy of it, whose tables group points by sample content.
 func TestDifferentialSharedTables(t *testing.T) {
 	const goroutines = 4
 	for _, dc := range differentialCases(1000, 40) {
 		post := core.Post(dc.sys)
 		idx := dc.sys.Index()
+		props := NewPropTable(dc.sys, dc.props)
 		for _, sa := range []core.SampleAssignment{post, core.NewAssignment("post/unkeyed", post.Sample)} {
 			// want[j] is the reference extension's bitset key, or "" when
 			// the reference reports an error.
@@ -190,7 +193,7 @@ func TestDifferentialSharedTables(t *testing.T) {
 				wg.Add(1)
 				go func(g int) {
 					defer wg.Done()
-					ev := NewEvaluator(dc.sys, shared, dc.props)
+					ev := NewSharedEvaluator(props, shared)
 					for k := range dc.formulas {
 						j := (k + g) % len(dc.formulas)
 						got, err := ev.DenseExtension(dc.formulas[j])

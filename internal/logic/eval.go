@@ -29,8 +29,10 @@ var (
 //
 // Internally the evaluator runs on the system's dense point index
 // (system.Index): subformula extensions are DenseSet bitsets combined by
-// word-wise arithmetic, K_i uses the index's cached information-cell
-// partition ("cell ⊆ extension" is one AND-NOT sweep per cell), and Pr_i
+// word-wise arithmetic, primitive propositions are read from a proposition
+// table (PropTable: each extension scanned once per table, shared by every
+// evaluator over it), K_i uses the index's cached information-cell
+// partition (one sweep marks the cells that meet the complement), and Pr_i
 // reads the probability assignment's dense space table for the agent
 // (core.SpaceTable: run fibers as dense IDs, built once per assignment and
 // shared by every evaluator over it), which every later probability query —
@@ -42,22 +44,24 @@ var (
 // subformula holds) by node identity, so reusing formula objects across
 // queries is cheap; since the package hash-conses formula constructors,
 // re-parsing the same formula text reuses the same nodes and hence hits
-// the memo.
+// the memo. Primitive propositions are the exception: their extensions
+// belong to the proposition table, outside the memo, so they count toward
+// no memo cap and survive Reset.
 //
 // Evaluators are NOT safe for concurrent use: callers that share a system
 // across goroutines must give each goroutine its own Evaluator, or check
 // evaluators in and out of a pool (see internal/service). A pooled
 // evaluator stays warm — its memo survives between checkouts — and can be
 // cheaply demoted to cold with Reset when the memo grows past a cap. The
-// underlying System, its point index, and props are read-only and may be
-// shared freely, and so may the core.ProbAssignment: many evaluators over
-// one assignment share its space tables, and the first to need a table
-// builds it.
+// underlying System and its point index are read-only and may be shared
+// freely, and so may the PropTable and the core.ProbAssignment: many
+// evaluators over one table or assignment share its extensions or space
+// tables, and the first to need one builds it.
 type Evaluator struct {
 	sys   *system.System
 	idx   *system.Index
 	prob  *core.ProbAssignment
-	props map[string]system.Fact
+	props *PropTable
 
 	memo    map[Formula]*system.DenseSet // dense extensions, by node identity
 	extMemo map[Formula]system.PointSet  // boundary conversions of memo entries
@@ -88,17 +92,22 @@ const cancelStride = 4096
 
 // NewEvaluator builds an evaluator for the system. prob may be nil if no
 // probability operators will be evaluated; props maps primitive proposition
-// names to facts.
+// names to facts. The evaluator reads the propositions through a private
+// PropTable over a copy of props.
 func NewEvaluator(sys *system.System, prob *core.ProbAssignment, props map[string]system.Fact) *Evaluator {
-	cp := make(map[string]system.Fact, len(props))
-	for k, v := range props {
-		cp[k] = v
-	}
+	return NewSharedEvaluator(NewPropTable(sys, props), prob)
+}
+
+// NewSharedEvaluator builds an evaluator over the system of the
+// proposition table, reading the table's extensions and building those it
+// needs into it. prob may be nil if no probability operators will be
+// evaluated. Many evaluators may share one table and one assignment.
+func NewSharedEvaluator(props *PropTable, prob *core.ProbAssignment) *Evaluator {
 	return &Evaluator{
-		sys:     sys,
-		idx:     sys.Index(),
+		sys:     props.sys,
+		idx:     props.sys.Index(),
 		prob:    prob,
-		props:   cp,
+		props:   props,
 		memo:    make(map[Formula]*system.DenseSet),
 		extMemo: make(map[Formula]system.PointSet),
 		par:     1,
@@ -108,19 +117,22 @@ func NewEvaluator(sys *system.System, prob *core.ProbAssignment, props map[strin
 // System returns the evaluator's system.
 func (e *Evaluator) System() *system.System { return e.sys }
 
-// DefineProp adds (or replaces) a primitive proposition. Replacing a
-// proposition invalidates the memo.
+// DefineProp adds (or replaces) a primitive proposition. The evaluator
+// moves to a private copy of its proposition table, so the definition is
+// never seen by other evaluators sharing the table. Defining a proposition
+// invalidates the memo.
 func (e *Evaluator) DefineProp(name string, fact system.Fact) {
-	e.props[name] = fact
+	e.props = e.props.with(name, fact)
 	e.memo = make(map[Formula]*system.DenseSet)
 	e.extMemo = make(map[Formula]system.PointSet)
 }
 
 // Reset drops the memo tables — the subformula extensions and the Pr
 // verdicts — returning the evaluator to its freshly-constructed state.
-// Pools call this when a long-lived evaluator's memo exceeds their cap; the
-// proposition table is kept, and so are the dense space tables, which
-// belong to the shared probability assignment.
+// Pools call this when a long-lived evaluator's memo exceeds their cap.
+// The proposition extensions are kept, since they belong to the
+// proposition table, and so are the dense space tables, which belong to
+// the shared probability assignment.
 func (e *Evaluator) Reset() {
 	e.memo = make(map[Formula]*system.DenseSet)
 	e.extMemo = make(map[Formula]system.PointSet)
@@ -130,8 +142,10 @@ func (e *Evaluator) Reset() {
 // SetCancel installs a cooperative-cancellation hook. The evaluator calls
 // the hook at every subformula boundary, on every fixpoint round of the
 // common-knowledge operators, and every cancelStride points of the linear
-// scans (proposition extensions, probability-table sweeps); the first
-// non-nil return aborts the evaluation with exactly that error. The hook
+// scans: proposition extensions, knowledge sweeps, probability-table
+// builds and sweeps, and the temporal sweeps of X, U, F and G (these poll
+// between runs, once per cancelStride points crossed); the first non-nil
+// return aborts the evaluation with exactly that error. The hook
 // must be cheap (it runs on hot paths) and must not touch the evaluator.
 // With a parallelism budget above 1 (SetParallelism) the sharded kernels
 // poll the hook from several goroutines at once, so it must also be safe
@@ -154,12 +168,16 @@ func (e *Evaluator) checkCancel() error {
 	return e.cancel()
 }
 
-// MemoLen reports the number of memoized subformula extensions.
+// MemoLen reports the number of memoized subformula extensions. Primitive
+// propositions are not memoized here: their extensions live in the
+// proposition table.
 func (e *Evaluator) MemoLen() int { return len(e.memo) }
 
 // MemoWords reports the evaluator's memo footprint in 64-bit words: the
 // memoized dense extensions plus the Pr verdict memo, so pools can bound a
-// pooled evaluator's memory rather than just its entry count.
+// pooled evaluator's memory rather than just its entry count. The
+// proposition table's extensions are not counted; they are not the
+// evaluator's.
 func (e *Evaluator) MemoWords() int {
 	return len(e.memo)*e.idx.Words() + e.pr.words()
 }
@@ -218,7 +236,7 @@ func (e *Evaluator) Extension(f Formula) (system.PointSet, error) {
 
 // DenseExtension returns the extension of the formula as a dense bitset
 // over the system's point index. The returned set is shared with the memo
-// and must not be modified.
+// or the proposition table and must not be modified.
 func (e *Evaluator) DenseExtension(f Formula) (*system.DenseSet, error) {
 	if ext, ok := e.memo[f]; ok {
 		return ext, nil
@@ -227,7 +245,9 @@ func (e *Evaluator) DenseExtension(f Formula) (*system.DenseSet, error) {
 	if err != nil {
 		return nil, err
 	}
-	e.memo[f] = ext
+	if _, atom := f.(*PropFormula); !atom {
+		e.memo[f] = ext
+	}
 	return ext, nil
 }
 
@@ -263,31 +283,24 @@ func (e *Evaluator) compute(f Formula) (*system.DenseSet, error) {
 	idx := e.idx
 	switch f := f.(type) {
 	case *PropFormula:
-		fact, ok := e.props[f.Name]
-		if !ok {
-			return nil, fmt.Errorf("%w: %q", ErrUnknownProp, f.Name)
+		// A published extension costs one lookup. Otherwise this request
+		// builds it into the table: with workers > 1 the fact's Holds is
+		// called from several goroutines, which SetParallelism documents
+		// facts must tolerate.
+		if ext := e.props.ExtensionIfBuilt(f.Name); ext != nil {
+			return ext, nil
 		}
-		// With workers > 1 the fact's Holds is called from several
-		// goroutines; SetParallelism documents that facts must tolerate
-		// that. Shards are 64-aligned so each owns its result words.
 		workers, release := e.parWorkers(idx.NumPoints())
 		defer release()
 		ps, stop := e.stopFn()
-		out := idx.NewDense()
-		system.ParRange(idx.NumPoints(), 64, workers, func(_, lo, hi int) {
-			for id := lo; id < hi; id++ {
-				if stop != nil && id&(cancelStride-1) == 0 && id > lo && stop() {
-					return
-				}
-				if fact.Holds(idx.PointAt(id)) {
-					out.Add(id)
-				}
-			}
-		})
-		if err := ps.Err(); err != nil {
+		ext, ok, err := e.props.extension(f.Name, workers, stop)
+		if err != nil {
 			return nil, err
 		}
-		return out, nil
+		if !ok {
+			return nil, ps.Err()
+		}
+		return ext, nil
 
 	case *BoolFormula:
 		if f.Value {
@@ -343,13 +356,20 @@ func (e *Evaluator) compute(f Formula) (*system.DenseSet, error) {
 		out := idx.NewDense()
 		// Runs are contiguous ID ranges, so "the next point on the run"
 		// is ID+1.
+		poll := e.runPoll()
 		idx.EachRun(func(_ *system.Tree, _ int, start, n int) {
+			if poll.skip(start) {
+				return
+			}
 			for k := 0; k < n-1; k++ {
 				if sub.Contains(start + k + 1) {
 					out.Add(start + k)
 				}
 			}
 		})
+		if poll.err != nil {
+			return nil, poll.err
+		}
 		return out, nil
 
 	case *UntilFormula:
@@ -491,7 +511,11 @@ func (e *Evaluator) computeUntil(phi, psi Formula) (*system.DenseSet, error) {
 		return nil, err
 	}
 	out := e.idx.NewDense()
+	poll := e.runPoll()
 	e.idx.EachRun(func(_ *system.Tree, _ int, start, n int) {
+		if poll.skip(start) {
+			return
+		}
 		// until holds at k iff ψ at k, or (φ at k and until at k+1).
 		holds := false
 		for k := n - 1; k >= 0; k-- {
@@ -509,7 +533,32 @@ func (e *Evaluator) computeUntil(phi, psi Formula) (*system.DenseSet, error) {
 			}
 		}
 	})
+	if poll.err != nil {
+		return nil, poll.err
+	}
 	return out, nil
+}
+
+// runPoll polls the cancellation hook for a serial sweep over the runs in
+// dense-ID order (Index.EachRun). The sweep calls skip with each run's
+// first dense ID before visiting the run: skip consults the hook each time
+// the sweep has crossed another cancelStride points, and once the hook has
+// failed it returns true, so no further run is visited, and err holds the
+// hook's error.
+type runPoll struct {
+	e    *Evaluator
+	next int
+	err  error
+}
+
+func (e *Evaluator) runPoll() *runPoll { return &runPoll{e: e, next: cancelStride} }
+
+func (p *runPoll) skip(start int) bool {
+	if p.err == nil && start >= p.next {
+		p.next = start - start%cancelStride + cancelStride
+		p.err = p.e.checkCancel()
+	}
+	return p.err != nil
 }
 
 // intersectPar, unionPar, complementPar run one set-algebra combine on the
@@ -535,11 +584,12 @@ func (e *Evaluator) complementPar(a *system.DenseSet) *system.DenseSet {
 }
 
 // knowExtension computes {c : K_i(c) ⊆ ext} through the index's cell-
-// partition kernel: one word-wise subset test per information cell, then
-// one sweep over the dense IDs writing the bits of passing cells. Both
-// phases shard across the evaluator's workers (system.CellPartition.
-// KnowExtension); the partition itself is cached on the system's index and
-// its first construction shards too.
+// partition kernel: one sweep over the points outside ext marking their
+// cells bad, then one sweep over the dense IDs writing the bits of points
+// in good cells, linear in points plus cells. Both phases shard across the
+// evaluator's workers (system.CellPartition.KnowExtension); the partition
+// itself is cached on the system's index and its first construction
+// shards too.
 func (e *Evaluator) knowExtension(i system.AgentID, ext *system.DenseSet) (*system.DenseSet, error) {
 	workers, release := e.parWorkers(e.idx.NumPoints())
 	defer release()

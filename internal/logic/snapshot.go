@@ -16,7 +16,10 @@ import (
 // the node identity the memo is keyed by. The per-agent space tables
 // and probability-verdict caches are deliberately not exported — they
 // key off process-local pointers (measure spaces, run-set patterns)
-// and rebuild cheaply relative to the extensions themselves.
+// and rebuild cheaply relative to the extensions themselves — and
+// neither are proposition extensions, which live in the proposition
+// table rather than the memo (an imported atom entry still lands in the
+// memo and is served from it).
 
 // MemoExport is one memoized formula extension in durable form.
 type MemoExport struct {

@@ -46,15 +46,19 @@ func (w *worker) formula(canonical string) (logic.Formula, error) {
 // which case it is Reset. The pool creates workers on demand and keeps at
 // most maxIdle of them between requests.
 //
-// Every worker of the pool evaluates over one core.ProbAssignment, which is
-// safe for concurrent use: each agent's dense space table is built once, by
-// the first checkout that needs it (under the engine budget and that
-// request's cancellation), and then read by all of them. A canceled or
-// panicking build publishes nothing, so the next request builds it afresh.
+// Every worker of the pool evaluates over one core.ProbAssignment and over
+// the session's logic.PropTable, which it shares with the session's other
+// pools; both are safe for concurrent use. Each agent's dense space table
+// and each proposition's extension is built once, by the first checkout
+// that needs it (under the engine budget and that request's cancellation),
+// and then read by all of them. A canceled or panicking build publishes
+// nothing, so the next request builds it afresh. The extensions live
+// outside the workers' memos, so they survive a Reset and count toward no
+// memoCap.
 type evalPool struct {
 	sys   *system.System
 	prob  *core.ProbAssignment
-	props map[string]system.Fact
+	props *logic.PropTable
 	eng   *engine
 
 	memoCap int
@@ -68,7 +72,7 @@ type evalPool struct {
 	discarded uint64    // guarded by mu; poisoned workers dropped instead of repooled
 }
 
-func newEvalPool(sys *system.System, sample core.SampleAssignment, props map[string]system.Fact, memoCap, maxIdle int, eng *engine) *evalPool {
+func newEvalPool(sys *system.System, sample core.SampleAssignment, props *logic.PropTable, memoCap, maxIdle int, eng *engine) *evalPool {
 	return &evalPool{
 		sys:     sys,
 		prob:    core.NewProbAssignment(sys, sample),
@@ -98,7 +102,7 @@ func (p *evalPool) get() *worker {
 	if p.eng != nil {
 		p.eng.buildIndex(p.sys)
 	}
-	ev := logic.NewEvaluator(p.sys, p.prob, p.props)
+	ev := logic.NewSharedEvaluator(p.props, p.prob)
 	if p.eng != nil {
 		p.eng.wire(ev)
 	}

@@ -28,7 +28,9 @@ type Config struct {
 	MaxIdle int
 	// MemoCap is the memoized-extension budget, in 64-bit bitset words
 	// (formulas memoized × words per extension), above which a returned
-	// evaluator's memo is dropped. Default 4096.
+	// evaluator's memo is dropped. Default 4096. Proposition extensions
+	// are outside the cap: they belong to the session's proposition
+	// table, shared by all its pools, and survive the drop.
 	MemoCap int
 	// MaxCounterexamples bounds the counterexamples reported per verdict.
 	// Default 20.

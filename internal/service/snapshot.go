@@ -362,7 +362,7 @@ func (s *Service) restoreFile(ctx context.Context, path string) (bytes, verdicts
 		source: snap.Source,
 		hash:   snap.Hash,
 		sys:    sys,
-		props:  props,
+		props:  logic.NewPropTable(sys, props),
 		doc:    snap.Doc,
 		pools:  make(map[string]*evalPool),
 	}

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"os"
 	"path/filepath"
@@ -258,4 +259,46 @@ func TestSnapshotBackgroundWriter(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 	t.Fatal("background writer produced no complete snapshot set")
+}
+
+// TestSnapshotRoundTripByteIdentical restores a service's snapshots into a
+// fresh service and has it write them again: each file must come back
+// byte-identical. Proposition extensions live in the session's table, not
+// in the exported memos, so a restored service carries exactly the state
+// its snapshot held.
+func TestSnapshotRoundTripByteIdentical(t *testing.T) {
+	dir := t.TempDir()
+	svc1 := New(snapConfig(dir))
+	warmService(t, svc1)
+	if err := svc1.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	files, err := filepath.Glob(filepath.Join(dir, "*"+snapshot.Ext))
+	if err != nil || len(files) != 2 {
+		t.Fatalf("wrote %d files (err %v), want 2", len(files), err)
+	}
+	written := make(map[string][]byte)
+	for _, f := range files {
+		if written[f], err = os.ReadFile(f); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	svc2 := New(snapConfig(dir))
+	defer svc2.Close()
+	if _, err := svc2.RestoreSnapshots(context.Background()); err != nil {
+		t.Fatalf("RestoreSnapshots: %v", err)
+	}
+	if n, err := svc2.SnapshotNow(); err != nil || n != len(files) {
+		t.Fatalf("SnapshotNow after restore: n=%d err=%v, want %d writes", n, err, len(files))
+	}
+	for _, f := range files {
+		again, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(again, written[f]) {
+			t.Fatalf("%s: snapshot rewritten after restore differs from the restored file", filepath.Base(f))
+		}
+	}
 }

@@ -7,20 +7,23 @@ import (
 
 	"kpa/internal/canon"
 	"kpa/internal/encode"
+	"kpa/internal/logic"
 	"kpa/internal/registry"
 	"kpa/internal/system"
 )
 
 // session is a loaded system: the store's unit of sharing. The system,
 // propositions and hash are immutable after construction; pools holds the
-// lazily-created evaluator pool per canonical assignment name.
+// lazily-created evaluator pool per canonical assignment name. props is
+// the session's one proposition table: every evaluator of every pool reads
+// it, so each proposition's extension is scanned once per session.
 type session struct {
 	name   string // the name the session was first loaded under
 	desc   string
 	source string // "registry" or "upload"
 	hash   string // canon.Hash of the system
 	sys    *system.System
-	props  map[string]system.Fact
+	props  *logic.PropTable
 
 	// doc retains the original upload document for "upload" sessions (nil
 	// for registry sessions): propositions are compiled closures and
@@ -143,7 +146,7 @@ func (st *store) get(name string) (*session, error) {
 		source: "registry",
 		hash:   canon.Hash(entry.Sys),
 		sys:    entry.Sys,
-		props:  entry.Props,
+		props:  logic.NewPropTable(entry.Sys, entry.Props),
 		pools:  make(map[string]*evalPool),
 	}
 	return st.intern(name, s), nil
@@ -169,7 +172,7 @@ func (st *store) upload(name string, doc []byte) (*session, error) {
 		source: "upload",
 		hash:   canon.Hash(sys),
 		sys:    sys,
-		props:  props,
+		props:  logic.NewPropTable(sys, props),
 		doc:    append([]byte(nil), doc...),
 		pools:  make(map[string]*evalPool),
 	}
@@ -214,11 +217,6 @@ type SystemInfo struct {
 }
 
 func (s *session) info(name string) SystemInfo {
-	props := make([]string, 0, len(s.props))
-	for n := range s.props {
-		props = append(props, n)
-	}
-	sort.Strings(props)
 	return SystemInfo{
 		Name:        name,
 		Description: s.desc,
@@ -227,7 +225,7 @@ func (s *session) info(name string) SystemInfo {
 		Agents:      s.sys.NumAgents(),
 		Trees:       len(s.sys.Trees()),
 		Points:      s.sys.NumPoints(),
-		Props:       props,
+		Props:       s.props.Names(),
 	}
 }
 

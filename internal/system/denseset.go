@@ -245,18 +245,6 @@ func (s *DenseSet) ComplementPar(workers int) *DenseSet {
 	return u
 }
 
-// SubsetOf reports whether every point of s is in t — one AND-NOT per word,
-// the test the cell-partition evaluator runs per information cell.
-func (s *DenseSet) SubsetOf(t *DenseSet) bool {
-	s.check(t)
-	for i := range s.bits {
-		if s.bits[i]&^t.bits[i] != 0 {
-			return false
-		}
-	}
-	return true
-}
-
 // Equal reports whether s and t contain exactly the same points.
 func (s *DenseSet) Equal(t *DenseSet) bool {
 	if s.idx != t.idx {

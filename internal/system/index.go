@@ -2,6 +2,7 @@ package system
 
 import (
 	"fmt"
+	"math/bits"
 	"sync"
 )
 
@@ -143,60 +144,88 @@ func (x *Index) EachRun(visit func(t *Tree, run, start, n int)) {
 }
 
 // CellPartition is the partition of a system's points into one agent's
-// information cells (the equivalence classes of ∼_i): Masks holds one
-// DenseSet per cell, and CellOf maps each dense point ID to its cell.
-// Knowledge of agent i is constant on each cell, which is what lets
+// information cells (the equivalence classes of ∼_i): CellOf maps each
+// dense point ID to its cell, cells numbered in order of first occurrence
+// by ID. Knowledge of agent i is constant on each cell, which is what lets
 // K_i-extension computation run cell-by-cell instead of point-by-point.
 type CellPartition struct {
-	masks  []*DenseSet
-	cellOf []int32
-	idx    *Index
+	cellOf   []int32
+	numCells int
+	idx      *Index
 }
 
 // NumCells returns the number of information cells.
-func (c *CellPartition) NumCells() int { return len(c.masks) }
-
-// Mask returns cell k as a DenseSet. The returned set is shared and must
-// not be modified.
-func (c *CellPartition) Mask(k int) *DenseSet { return c.masks[k] }
+func (c *CellPartition) NumCells() int { return c.numCells }
 
 // CellOf returns the cell index of the point with dense ID id.
 func (c *CellPartition) CellOf(id int) int { return int(c.cellOf[id]) }
 
 // KnowExtension computes {c : cell(c) ⊆ ext}, the dense extension of K_i —
-// the kernel behind the evaluator's knowledge operator. It runs in two
-// sharded phases over up to workers goroutines: first one subset test per
-// cell (reads only), then one pass over the dense IDs writing the result
-// bits of passing cells. ID shards are 64-aligned, so distinct shards write
-// distinct backing words of the shared result — the sharded-mutation
-// pattern the denseown analyzer's fixtures pin down.
+// the kernel behind the evaluator's knowledge operator — in time linear in
+// points plus cells, in two sharded phases over up to workers goroutines.
+// First each shard marks bad, in a bitset of its own, the cell of every
+// point of its range outside ext, stopping once every cell is marked; the
+// marks are merged in shard order. Then, unless every cell or none is bad,
+// one pass over the dense IDs writes the result a word at a time. ID
+// shards are 64-aligned, so distinct shards write distinct backing words
+// of the shared result — the sharded-mutation pattern the denseown
+// analyzer's fixtures pin down.
 //
-// stop, when non-nil, is polled between strides of both phases; returning
-// true abandons the sweep early (the partial result must be discarded).
-// With workers ≤ 1 both phases run on the calling goroutine.
+// stop, when non-nil, is polled every 4096 points of both phases and
+// between them; returning true abandons the sweep early (the partial
+// result must be discarded). With workers ≤ 1 both phases run on the
+// calling goroutine.
 func (c *CellPartition) KnowExtension(ext *DenseSet, workers int, stop func() bool) *DenseSet {
-	good := make([]bool, len(c.masks))
-	ParRange(len(c.masks), 1, workers, func(_, lo, hi int) {
-		for k := lo; k < hi; k++ {
-			if stop != nil && k&15 == 0 && stop() {
+	n := len(c.cellOf)
+	marks := make([][]uint64, max(workers, 1))
+	ParRange(n, 64, workers, func(shard, lo, hi int) {
+		bad := make([]uint64, (c.numCells+63)/64)
+		marked := 0
+		for id := lo; id < hi && marked < c.numCells; id += 64 {
+			if stop != nil && id&4095 == 0 && id > lo && stop() {
 				return
 			}
-			good[k] = c.masks[k].SubsetOf(ext)
+			cells := c.cellOf[id:min(id+64, hi)]
+			for zeros := ^ext.bits[id/64] & (1<<len(cells) - 1); zeros != 0; zeros &= zeros - 1 {
+				k := uint32(cells[bits.TrailingZeros64(zeros)])
+				if bad[k/64]&(1<<(k%64)) == 0 {
+					bad[k/64] |= 1 << (k % 64)
+					marked++
+				}
+			}
 		}
+		marks[shard] = bad
 	})
-	out := c.idx.NewDense()
 	if stop != nil && stop() {
+		return c.idx.NewDense()
+	}
+	bad, marked := marks[0], 0
+	for w := range bad {
+		for _, m := range marks[1:] {
+			if m != nil {
+				bad[w] |= m[w]
+			}
+		}
+		marked += bits.OnesCount64(bad[w])
+	}
+	if marked == 0 {
+		return c.idx.FullDense()
+	}
+	out := c.idx.NewDense()
+	if marked == c.numCells {
 		return out
 	}
-	ParRange(len(c.cellOf), 64, workers, func(_, lo, hi int) {
-		for id := lo; id < hi; id++ {
-			if stop != nil && id&4095 == 0 && stop() {
+	ParRange(n, 64, workers, func(_, lo, hi int) {
+		for id := lo; id < hi; id += 64 {
+			if stop != nil && id&4095 == 0 && id > lo && stop() {
 				return
 			}
-			if good[c.cellOf[id]] {
-				// Direct word write: the 64-aligned shard owns this word.
-				out.bits[id/64] |= 1 << (id % 64)
+			var word uint64
+			for b, k := range c.cellOf[id:min(id+64, hi)] {
+				word |= (^bad[k/64] >> (uint32(k) % 64) & 1) << b
 			}
+			// Direct word write: the 64-aligned shard owns this word.
+			out.bits[id/64] = word
 		}
 	})
 	return out
@@ -211,7 +240,7 @@ func (x *Index) Cells(i AgentID) *CellPartition { return x.CellsPar(i, 1) }
 // goroutines. The result is identical to the serial build — cells are
 // numbered in order of first occurrence by dense ID — because the shards'
 // local first-occurrence numberings are merged in shard order before the
-// final parallel mask fill. Subsequent calls return the cached partition.
+// final parallel remap. Subsequent calls return the cached partition.
 func (x *Index) CellsPar(i AgentID, workers int) *CellPartition {
 	x.mu.Lock()
 	defer x.mu.Unlock()
@@ -227,8 +256,7 @@ func (x *Index) CellsPar(i AgentID, workers int) *CellPartition {
 		byLocal map[LocalState]int32
 		locals  []LocalState // shard-local number → local state
 	}
-	var perShard []shardCells
-	var mu sync.Mutex
+	perShard := make([]shardCells, max(workers, 1))
 	ParRange(n, 64, workers, func(shard, lo, hi int) {
 		sc := shardCells{byLocal: make(map[LocalState]int32)}
 		for id := lo; id < hi; id++ {
@@ -241,48 +269,33 @@ func (x *Index) CellsPar(i AgentID, workers int) *CellPartition {
 			}
 			c.cellOf[id] = k // shard-local numbering, remapped in phase 3
 		}
-		mu.Lock()
-		for len(perShard) <= shard {
-			perShard = append(perShard, shardCells{})
-		}
 		perShard[shard] = sc
-		mu.Unlock()
 	})
 
 	// Phase 2 (serial): merge the shard numberings in shard order, which
 	// reproduces the global first-occurrence order, then remap each shard's
 	// range. remap[shard][localNum] is the global cell number.
 	global := make(map[LocalState]int32)
-	var order []LocalState
 	remap := make([][]int32, len(perShard))
 	for s, sc := range perShard {
 		remap[s] = make([]int32, len(sc.locals))
 		for k, l := range sc.locals {
 			g, ok := global[l]
 			if !ok {
-				g = int32(len(order))
+				g = int32(len(global))
 				global[l] = g
-				order = append(order, l)
 			}
 			remap[s][k] = g
 		}
 	}
-	c.masks = make([]*DenseSet, len(order))
-	for k := range c.masks {
-		c.masks[k] = x.NewDense()
-	}
+	c.numCells = len(global)
 
-	// Phase 3: remap the cell table and fill the masks, sharded over the
-	// same 64-aligned ranges. ParRange reproduces the phase-1 shard
-	// boundaries for equal n/align/workers, so each ID's shard-local number
-	// is remapped through its own shard's table; the mask writes are direct
-	// word updates on 64-aligned ranges, hence race-free.
+	// Phase 3: remap the cell table over the phase-1 shard boundaries,
+	// which ParRange reproduces for equal n/align/workers.
 	ParRange(n, 64, workers, func(shard, lo, hi int) {
 		tab := remap[shard]
 		for id := lo; id < hi; id++ {
-			g := tab[c.cellOf[id]]
-			c.cellOf[id] = g
-			c.masks[g].bits[id/64] |= 1 << (id % 64)
+			c.cellOf[id] = tab[c.cellOf[id]]
 		}
 	})
 	x.cells[i] = c

@@ -99,28 +99,22 @@ func TestCellPartition(t *testing.T) {
 
 	for _, agent := range []AgentID{0, 1} {
 		cells := idx.Cells(agent)
-		// Masks partition the full point set.
-		union := idx.NewDense()
-		for k := 0; k < cells.NumCells(); k++ {
-			mask := cells.Mask(k)
-			if mask.IsEmpty() {
-				t.Fatalf("agent %d: empty cell %d", agent, k)
-			}
-			if !union.Intersect(mask).IsEmpty() {
-				t.Fatalf("agent %d: cell %d overlaps earlier cells", agent, k)
-			}
-			union.UnionWith(mask)
-		}
-		if !union.Equal(idx.FullDense()) {
-			t.Fatalf("agent %d: cells do not cover the point set", agent)
-		}
-		// CellOf agrees with the masks and with local-state equality.
+		// Cells are numbered in first-occurrence order by dense ID, and
+		// every cell occurs.
+		next := 0
 		for id := 0; id < idx.NumPoints(); id++ {
 			k := cells.CellOf(id)
-			if !cells.Mask(int(k)).Contains(id) {
-				t.Fatalf("agent %d: point %d not in its own cell %d", agent, id, k)
+			if k < 0 || k > next {
+				t.Fatalf("agent %d: point %d in cell %d, next new cell is %d", agent, id, k, next)
+			}
+			if k == next {
+				next++
 			}
 		}
+		if next != cells.NumCells() {
+			t.Fatalf("agent %d: %d cells occur, NumCells is %d", agent, next, cells.NumCells())
+		}
+		// CellOf agrees with local-state equality.
 		for a := 0; a < idx.NumPoints(); a++ {
 			for b := 0; b < idx.NumPoints(); b++ {
 				same := idx.PointAt(a).Local(agent) == idx.PointAt(b).Local(agent)
@@ -164,13 +158,6 @@ func TestDenseSetAlgebra(t *testing.T) {
 	// Allocating ops left their operands alone.
 	check("a unchanged", a, func(id int) bool { return id%2 == 0 })
 	check("b unchanged", b, func(id int) bool { return id%3 == 0 })
-
-	if !a.Intersect(b).SubsetOf(a) || !a.SubsetOf(a.Union(b)) {
-		t.Error("SubsetOf violates lattice laws")
-	}
-	if a.SubsetOf(b) {
-		t.Error("a ⊆ b should be false")
-	}
 
 	// Complement must not set tail bits past NumPoints: complementing twice
 	// and unioning with the complement must reproduce a and the full set.
@@ -235,8 +222,8 @@ func TestIndexConcurrent(t *testing.T) {
 			indexes[g] = idx
 			for _, agent := range []AgentID{0, 1} {
 				cells := idx.Cells(agent)
-				for k := 0; k < cells.NumCells(); k++ {
-					cells.Mask(k).Len()
+				for id := 0; id < idx.NumPoints(); id++ {
+					cells.CellOf(id)
 				}
 			}
 		}(g)

@@ -2,6 +2,7 @@ package system
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -241,18 +242,31 @@ func TestCellsParMatchesSerial(t *testing.T) {
 		if sc.NumCells() != pc.NumCells() {
 			t.Fatalf("agent %d: serial %d cells, parallel %d", i, sc.NumCells(), pc.NumCells())
 		}
-		for id := 0; id < sIdx.NumPoints(); id++ {
-			if sc.CellOf(id) != pc.CellOf(id) {
-				t.Fatalf("agent %d: CellOf(%d) serial %d, parallel %d",
-					i, id, sc.CellOf(id), pc.CellOf(id))
-			}
-		}
-		for k := 0; k < sc.NumCells(); k++ {
-			if sc.Mask(k).Key() != pc.Mask(k).Key() {
-				t.Fatalf("agent %d: mask %d differs between serial and parallel build", i, k)
-			}
+		sn, sTab := sc.Table()
+		pn, pTab := pc.Table()
+		if sn != pn || !slices.Equal(sTab, pTab) {
+			t.Fatalf("agent %d: cell table differs between serial and parallel build", i)
 		}
 	}
+}
+
+// bruteKnow computes the dense extension of K_i straight from ∼_i: a point
+// is in it when every point with agent i's local state lies in ext. It
+// shares no code with CellPartition.
+func bruteKnow(idx *Index, i AgentID, ext *DenseSet) *DenseSet {
+	inside := make(map[LocalState]bool)
+	for id := 0; id < idx.NumPoints(); id++ {
+		l := idx.PointAt(id).Local(i)
+		in, seen := inside[l]
+		inside[l] = (in || !seen) && ext.Contains(id)
+	}
+	out := idx.NewDense()
+	for id := 0; id < idx.NumPoints(); id++ {
+		if inside[idx.PointAt(id).Local(i)] {
+			out.Add(id)
+		}
+	}
+	return out
 }
 
 func TestKnowExtensionKernel(t *testing.T) {
@@ -267,13 +281,7 @@ func TestKnowExtensionKernel(t *testing.T) {
 			ext.Add(id)
 		}
 	}
-	// Reference: union of the masks of cells entirely inside ext.
-	want := idx.NewDense()
-	for k := 0; k < cells.NumCells(); k++ {
-		if cells.Mask(k).SubsetOf(ext) {
-			want.UnionWith(cells.Mask(k))
-		}
-	}
+	want := bruteKnow(idx, 0, ext)
 	for _, workers := range []int{1, 3, 8} {
 		got := cells.KnowExtension(ext, workers, nil)
 		if !got.Equal(want) {

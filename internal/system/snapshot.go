@@ -55,7 +55,7 @@ func (x *Index) CellsBuilt(i AgentID) *CellPartition {
 func (c *CellPartition) Table() (numCells int, cellOf []int32) {
 	out := make([]int32, len(c.cellOf))
 	copy(out, c.cellOf)
-	return len(c.masks), out
+	return c.numCells, out
 }
 
 // AdoptCells installs a previously exported cell table as agent i's
@@ -115,15 +115,8 @@ func (x *Index) AdoptCells(i AgentID, numCells int, cellOf []int32) error {
 		seen[l] = int32(k)
 	}
 
-	c := &CellPartition{cellOf: make([]int32, n), idx: x}
+	c := &CellPartition{cellOf: make([]int32, n), numCells: numCells, idx: x}
 	copy(c.cellOf, cellOf)
-	c.masks = make([]*DenseSet, numCells)
-	for k := range c.masks {
-		c.masks[k] = x.NewDense()
-	}
-	for id, k := range c.cellOf {
-		c.masks[k].bits[id/64] |= 1 << (id % 64)
-	}
 
 	x.mu.Lock()
 	defer x.mu.Unlock()

@@ -1,6 +1,7 @@
 package system
 
 import (
+	"slices"
 	"strings"
 	"testing"
 )
@@ -77,15 +78,10 @@ func TestAdoptCellsRoundTrip(t *testing.T) {
 		if got.NumCells() != want.NumCells() {
 			t.Fatalf("agent %d: adopted %d cells, built %d", i, got.NumCells(), want.NumCells())
 		}
-		for id := 0; id < dst.NumPoints(); id++ {
-			if got.CellOf(id) != want.CellOf(id) {
-				t.Fatalf("agent %d: CellOf(%d) adopted %d, built %d", i, id, got.CellOf(id), want.CellOf(id))
-			}
-		}
-		for k := 0; k < got.NumCells(); k++ {
-			if got.Mask(k).Key() != want.Mask(k).Key() {
-				t.Fatalf("agent %d: mask %d differs between adopted and built", i, k)
-			}
+		gn, gTab := got.Table()
+		wn, wTab := want.Table()
+		if gn != wn || !slices.Equal(gTab, wTab) {
+			t.Fatalf("agent %d: cell table differs between adopted and built", i)
 		}
 	}
 }

@@ -3,7 +3,9 @@
 # benchmarks (internal/logic/bench_scale_test.go) over the gen.ScaleTiers
 # broom systems for every (tier, workers) pair and records
 # BENCH_SCALE.json, keyed "tier/wN/op" with ns/op, B/op, allocs/op and
-# peak RSS. Each pair runs in its own `go test` process: the peak-RSS
+# peak RSS, plus a "host" entry stamping the CPU count, GOMAXPROCS (the
+# benchmark names' suffix), the Go version and the commit (git describe; "-dirty" marks uncommitted
+# changes) the numbers were taken with. Each pair runs in its own `go test` process: the peak-RSS
 # metric reads VmHWM from /proc/self/status, which is monotonic over a
 # process's life, so sharing a process would charge small tiers the big
 # tier's high-water mark.
@@ -59,9 +61,12 @@ for tier in $TIERS; do
 	done
 done
 
-awk '
+NCPU="$(nproc 2>/dev/null || echo 1)"
+awk -v ncpu="$NCPU" -v gover="$(go env GOVERSION)" \
+	-v commit="$(git describe --always --dirty 2>/dev/null || echo unknown)" '
 $1 ~ /^[0-9a-z]+\/w[0-9]+\// {
     name = $1
+    if (match(name, /-[0-9]+$/)) maxprocs = substr(name, RSTART + 1)
     sub(/-[0-9]+$/, "", name)   # strip the GOMAXPROCS suffix
     for (i = 2; i < NF; i++) {
         if ($(i+1) == "ns/op")      ns[name] = $i
@@ -73,6 +78,8 @@ $1 ~ /^[0-9a-z]+\/w[0-9]+\// {
 }
 END {
     printf "{\n"
+    printf "  \"host\": {\"nproc\": %d, \"gomaxprocs\": %d, \"go\": \"%s\", \"commit\": \"%s\"}%s\n", \
+        ncpu, maxprocs, gover, commit, (n > 0 ? "," : "")
     for (i = 0; i < n; i++) {
         name = order[i]
         printf "  \"%s\": {\"ns_per_op\": %s, \"bytes_per_op\": %s, \"allocs_per_op\": %s, \"peak_rss_kb\": %s}%s\n", \
@@ -87,7 +94,6 @@ echo "wrote $OUT"
 
 # The parallel floor: compare workers 1 against the highest worker count
 # at the floor tier (1m when present, else the last tier run).
-NCPU="$(nproc 2>/dev/null || echo 1)"
 FLOOR_TIER=""
 for tier in $TIERS; do FLOOR_TIER="$tier"; done
 case " $TIERS " in *" 1m "*) FLOOR_TIER="1m" ;; esac
